@@ -12,7 +12,22 @@
 /// footprint stays tiny and it keeps scaling where PICO-HTM livelocks
 /// (Fig. 11).
 ///
-/// After repeated conflict aborts the SC falls back to the exclusive
+/// The store inside the transaction is a value-validated CAS against the
+/// LL's value, not a plain store. Under RTM the table entry and the value
+/// line sit in the transaction's read and write sets, so a peer's LL that
+/// re-tags the granule between the check and the store aborts us. The
+/// SoftHtm model (RTM-less hosts) only takes a global lock and does not see
+/// non-transactional writes, so such a peer LL can tag and load the old
+/// value after our check; with a plain store both SCs would then succeed
+/// and one update would be lost. With the CAS, the peer either loaded the
+/// value before our store (its own CAS then fails) or after it (it sees
+/// our value), and a plain store of a different value in the window fails
+/// our CAS. On RTM the outcome is unchanged.
+///
+/// GuestMemory::compareExchange needs natural alignment, but GRV allows
+/// 8-byte LL/SC at 4-aligned addresses. Such SCs go straight to the
+/// exclusive section, where the stopped world makes check + store atomic.
+/// After repeated conflict aborts an aligned SC falls back to the same
 /// section, guaranteeing forward progress.
 ///
 //===----------------------------------------------------------------------===//
@@ -111,7 +126,11 @@ public:
 
     bool Ok = false;
     bool Done = false;
-    for (unsigned Attempt = 0; Attempt < MaxRetries && !Done; ++Attempt) {
+    // A CAS needs natural alignment; other SCs take the exclusive path
+    // without an HTM attempt, so they are not HTM fallbacks.
+    bool CasPublishable = isAligned(Addr, Size);
+    for (unsigned Attempt = 0; CasPublishable && Attempt < MaxRetries && !Done;
+         ++Attempt) {
       Cpu.Events.HtmBegins++;
       TxStatus Status = Ctx->Htm->begin(Cpu.Tid, Addr);
       if (Status != TxStatus::Started) {
@@ -124,17 +143,23 @@ public:
         continue; // Conflict: retry the tiny transaction.
       }
       // Figure 6: HTM_xbegin; Htable_check; store; HTM_xend. The check
-      // covers every granule the SC touches.
+      // covers every granule the SC touches; the store is a CAS from the
+      // LL's value, since SoftHtm does not isolate the check from a peer's
+      // LL (see the file header).
       bool CheckOk = granulesCarry(Addr, Size, tagFor(Cpu.Tid));
-      if (CheckOk)
-        Ctx->Mem->shadowStore(Addr, Value, Size);
+      if (CheckOk) {
+        uint64_t Expected = Mon.Value;
+        CheckOk = Ctx->Mem->compareExchange(Addr, Expected, Value, Size);
+      }
       if (Ctx->Htm->commit(Cpu.Tid)) {
         Cpu.Events.HtmCommits++;
         Ok = CheckOk;
         Done = true;
       }
-      // A doomed commit means a plain store hit our watch address while
-      // the transaction ran; the SC must fail and the guest retries.
+      // A doomed commit means the backend rolled the transaction back;
+      // the SC must fail and the guest retries. (SoftHtm, which rolls
+      // nothing back, never dooms these: HST-HTM accrues no footprint
+      // and its plain stores do not call notifyStore.)
       else {
         Cpu.Events.HtmAbortsConflict++;
         Ok = false;
@@ -143,9 +168,11 @@ public:
     }
 
     if (!Done) {
-      // Forward-progress fallback: the HST exclusive-section path.
-      Cpu.Counters.HtmLivelockFallbacks++;
-      Cpu.Events.HtmFallbacks++;
+      if (CasPublishable) {
+        // Forward-progress fallback: the HST exclusive-section path.
+        Cpu.Counters.HtmLivelockFallbacks++;
+        Cpu.Events.HtmFallbacks++;
+      }
       BucketTimer Timer(Cpu.profileOrNull(), ProfileBucket::Exclusive);
       ExclusiveSection Excl(Cpu, Cpu.InRunLoop);
       Ok = granulesCarry(Addr, Size, tagFor(Cpu.Tid));

@@ -13,12 +13,21 @@
 ///  - SoftHtm: a single-global-lock HTM emulation with a calibrated abort
 ///    model. Transactions acquire a global spin lock with bounded spinning
 ///    (failure => conflict abort, so abort rate grows with contention,
-///    mirroring TSX under load); plain stores doom transactions watching
-///    the stored address (strong-atomicity conflict detection); and a
-///    footprint model aborts transactions that cover too much emulator
-///    work — reproducing the paper's observation that PICO-HTM, whose
-///    transactions span the translator/interpreter code between LL and SC,
-///    suffers abort storms and livelocks beyond ~8 threads (Section IV-B).
+///    mirroring TSX under load); plain stores that call notifyStore doom
+///    transactions watching the stored granule; and a footprint model
+///    aborts transactions that cover too much emulator work — reproducing
+///    the paper's observation that PICO-HTM, whose transactions span the
+///    translator/interpreter code between LL and SC, suffers abort storms
+///    and livelocks beyond ~8 threads (Section IV-B).
+///
+///    The model does not isolate a transaction from non-transactional
+///    writes. Writes that skip the global lock (plain stores, HST table
+///    tags) land inside the transaction's window unseen, unless the
+///    writer calls notifyStore, and that only dooms a transaction whose
+///    watch granule matches. A doomed commit rolls nothing back: stores
+///    made inside the transaction stay in memory. Schemes that need RTM's
+///    read/write-set isolation must validate their own writes (HST-HTM
+///    publishes its SC with a CAS from the LL's value).
 ///
 /// The substitution is documented in DESIGN.md §5.
 ///
@@ -77,8 +86,9 @@ public:
   /// address \p WatchAddr. \returns Started or an abort cause.
   virtual TxStatus begin(unsigned Tid, uint64_t WatchAddr) = 0;
 
-  /// Attempts to commit. \returns false if the transaction was doomed (it
-  /// is then already rolled back logically; the caller must retry).
+  /// Attempts to commit. \returns false if the transaction was doomed; the
+  /// caller must retry. RTM has rolled the transaction back by then;
+  /// SoftHtm has not (see the file header).
   virtual bool commit(unsigned Tid) = 0;
 
   /// Explicitly aborts the running transaction of \p Tid.
